@@ -49,9 +49,15 @@
 // -bench-json writes per-artifact wall-clock timings as JSON to FILE
 // (the BENCH_results.json perf trajectory).
 //
-// With -trace-out, each multi-user workload cell (figures 6-8) writes
-// its 30-second utilization timeline as a CSV file into DIR (created
-// if missing), alongside the printed summary tables.
+// With -trace-out, every figure cell (5-8) runs with tracing enabled,
+// and each multi-user workload cell (figures 6-8) writes the tracer's
+// 30-second utilization timeline as a CSV file into DIR (created if
+// missing), alongside the printed summary tables.
+//
+// Every sink flag (-trace-out, -report-out, -sample-interval,
+// -diag-out, -archive-out, -alert-rules, -alerts-out, -log-out)
+// observes without perturbing: the printed tables are byte-identical
+// with or without them.
 //
 // With -report-out, every figure cell (5-8) additionally runs with
 // tracing and a utilization sampler enabled and writes one
@@ -118,9 +124,9 @@ func main() {
 	run := flag.String("run", "all", "comma-separated artifacts to regenerate: all, tableI, tableII, tableIII, figure4, figure5, figure6, figure7, figure8, ablationInterval, ablationThreshold, ablationGrab, ablationAdaptive, ablationEngine, ablationInputPath")
 	mode := flag.String("mode", "quick", "quick (scaled-down, minutes) or paper (full §V parameters)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	traceOut := flag.String("trace-out", "", "directory for per-cell utilization timeline CSVs (figures 6-8)")
+	traceOut := flag.String("trace-out", "", "directory for per-cell utilization timeline CSVs (figures 6-8; enables tracing)")
 	reportOut := flag.String("report-out", "", "directory for per-cell self-contained HTML run reports (figures 5-8)")
-	sampleInterval := flag.Float64("sample-interval", 0, "observability sampler cadence in virtual seconds for -report-out time-series (0 = per-figure default)")
+	sampleInterval := flag.Float64("sample-interval", 0, "sampler cadence in virtual seconds for -report-out time-series and the -alert-rules tick (0 = defaults)")
 	jobs := flag.Int("j", runtime.NumCPU(), "sweep cells to run concurrently (1 = sequential; output is identical either way)")
 	scanWorkers := flag.Int("scan-workers", runtime.NumCPU(), "scan-executor pool size for off-sim-thread map scans (0 = inline; output is identical either way)")
 	engineMode := flag.String("engine-mode", "baseline", "execution engine: baseline, or memory (resident map outputs reused across a sweep's jobs; output is identical either way)")

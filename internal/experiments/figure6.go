@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dynamicmr/internal/hive"
-	"dynamicmr/internal/metrics"
 	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/workload"
@@ -87,8 +86,7 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 			Session: sess,
 		}
 	}
-	sampler := metrics.NewSampler(r.jt, 30)
-	sampler.Start()
+	window := startMeasuredWindow(r, opt.WarmupS)
 	var osamp *obs.Sampler
 	if opt.reporting() {
 		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: opt.sampleInterval(obs.DefaultIntervalS)})
@@ -98,8 +96,8 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 	if err != nil {
 		return Figure6Cell{}, fmt.Errorf("figure6 (z=%g policy=%s): %w", z, policy, err)
 	}
-	cpu, disk, occ := sampler.Averages(opt.WarmupS)
-	if err := writeCellTimeline(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), sampler); err != nil {
+	util, _ := window.Advance()
+	if err := writeCellTimeline(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), r); err != nil {
 		return Figure6Cell{}, err
 	}
 	if err := writeCellReport(opt, fmt.Sprintf("figure6_z%g_%s", z, policy),
@@ -134,9 +132,9 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 		Policy:       policy,
 		Z:            z,
 		Throughput:   cs.ThroughputJobsPerHour,
-		CPUUtilPct:   cpu,
-		DiskReadKBs:  disk,
-		OccupancyPct: occ,
+		CPUUtilPct:   util.CPUUtilPct,
+		DiskReadKBs:  util.DiskReadKBs,
+		OccupancyPct: util.SlotOccupancyPct,
 	}, nil
 }
 

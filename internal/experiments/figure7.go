@@ -5,7 +5,6 @@ import (
 
 	"dynamicmr/internal/hive"
 	"dynamicmr/internal/mapreduce"
-	"dynamicmr/internal/metrics"
 	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/workload"
@@ -128,8 +127,7 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 			})
 		}
 	}
-	sampler := metrics.NewSampler(r.jt, 30)
-	sampler.Start()
+	window := startMeasuredWindow(r, opt.WarmupS)
 	var osamp *obs.Sampler
 	if opt.reporting() {
 		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: opt.sampleInterval(obs.DefaultIntervalS)})
@@ -139,12 +137,12 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 	if err != nil {
 		return Figure7Cell{}, fmt.Errorf("heterogeneous (frac=%g policy=%s): %w", frac, policy, err)
 	}
-	_, _, occ := sampler.Averages(opt.WarmupS)
+	util, _ := window.Advance()
 	fig, figLabel := "figure7", "Figure 7"
 	if sched != nil {
 		fig, figLabel = "figure8", "Figure 8"
 	}
-	if err := writeCellTimeline(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), sampler); err != nil {
+	if err := writeCellTimeline(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), r); err != nil {
 		return Figure7Cell{}, err
 	}
 	if err := writeCellReport(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy),
@@ -181,9 +179,20 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 		Policy:                policy,
 		SamplingThroughput:    samp.ThroughputJobsPerHour,
 		NonSamplingThroughput: scan.ThroughputJobsPerHour,
-		LocalityPct:           metrics.LocalityPct(r.jt),
-		OccupancyPct:          occ,
+		LocalityPct:           localityPct(r.jt),
+		OccupancyPct:          util.SlotOccupancyPct,
 	}, nil
+}
+
+// localityPct returns the cluster-lifetime fraction of completed map
+// tasks that read a node-local replica, in percent (§V-F).
+func localityPct(jt *mapreduce.JobTracker) float64 {
+	local, nonLocal := jt.LocalityStats()
+	total := local + nonLocal
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(local) / float64(total)
 }
 
 // Cell finds a measurement.

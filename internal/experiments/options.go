@@ -54,15 +54,17 @@ type Options struct {
 	// parallelism is across cells, virtual time inside a cell is
 	// untouched.
 	Parallelism int
-	// TraceDir, when set, receives one utilization-timeline CSV per
-	// workload cell (figure6_*.csv, figure7_*.csv, ...), written from
-	// the cell's metrics sampler. The directory must exist.
+	// TraceDir, when set, enables tracing inside every cell's rig and
+	// receives one utilization-timeline CSV per workload cell
+	// (figure6_*.csv, figure7_*.csv, ...), written from the tracer's
+	// 30-second telemetry poll. The directory must exist.
 	TraceDir string
 	// ReportDir, when set, enables tracing inside every cell's rig and
 	// writes one self-contained HTML run report per cell
 	// (figure5_*.html, figure6_*.html, ...). The directory must exist.
 	// Each cell owns a private tracer and observability sampler, so
-	// reports stay isolated under Parallelism > 1.
+	// reports stay isolated under Parallelism > 1. Like every sink, it
+	// changes real wall-clock time only: tables stay byte-identical.
 	ReportDir string
 	// DiagDir, when set, enables tracing inside every cell's rig and
 	// writes one per-job diagnosis CSV per cell (figure5_*_diag.csv,
@@ -88,9 +90,10 @@ type Options struct {
 	// LogLevel gates LogWriter records (default slog.LevelInfo).
 	LogLevel slog.Leveler
 	// SampleIntervalS overrides the observability sampler cadence used
-	// for ReportDir time-series; 0 picks a per-figure default (5 s for
-	// single-user Figure 5 cells, 30 s — the paper's §V-D monitoring
-	// cadence — for the workload figures).
+	// for ReportDir time-series and the alert layer's collection tick;
+	// 0 picks the defaults (obs: 5 s for single-user Figure 5 cells,
+	// 30 s — the paper's §V-D monitoring cadence — for the workload
+	// figures; tsdb: its own default).
 	SampleIntervalS float64
 	// ScanWorkers sizes the sweep-wide scan-executor pool that runs
 	// pure map record scans off the simulator goroutines (the
@@ -115,9 +118,9 @@ type Options struct {
 	// the cell's virtual clock (the cmd/experiments -alert-rules flag).
 	// Alerting enables tracing inside every rig — the engine's series
 	// are fed from the trace counters/gauges — and wires a per-cell
-	// qstats registry so slo_burn rules see finished queries. Like the
-	// reporting options, alerting changes real wall-clock time only;
-	// tables and CSVs stay byte-identical.
+	// qstats registry so slo_burn rules see finished queries. Like every
+	// sink, alerting changes real wall-clock time only: tables stay
+	// byte-identical.
 	AlertRules []tsdb.Rule
 	// AlertsDir, when set, writes one alert dump per archived cell
 	// (<cell>.alerts.json, schema dynamicmr.alerts/1) from the cell's
@@ -226,11 +229,11 @@ func (o Options) workloadSpec(z float64, name string, seedOffset int64) dataset.
 func (o Options) reporting() bool { return o.ReportDir != "" }
 
 // traced reports whether cells run with tracing enabled — needed by
-// the HTML reports, the per-cell diagnosis CSVs, the per-cell
-// cross-run archives and the alert layer (whose series come from the
-// trace counters/gauges).
+// the utilization timelines, the HTML reports, the per-cell diagnosis
+// CSVs, the per-cell cross-run archives and the alert layer (whose
+// series come from the trace counters/gauges).
 func (o Options) traced() bool {
-	return o.ReportDir != "" || o.DiagDir != "" || o.ArchiveDir != "" || o.alerting()
+	return o.TraceDir != "" || o.ReportDir != "" || o.DiagDir != "" || o.ArchiveDir != "" || o.alerting()
 }
 
 // alerting reports whether cells run with a time-series engine and

@@ -16,8 +16,9 @@ import (
 // inside a cell never observes the pool.
 //
 // parallelism <= 1 runs the cells sequentially on the calling
-// goroutine. On error no new cells are started, in-flight cells drain,
-// and the lowest-index recorded error is returned.
+// goroutine. On error dispatch stops and no new cells are started,
+// in-flight cells drain, and the lowest-index recorded error is
+// returned.
 func runCells(parallelism, n int, cell func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -48,11 +49,12 @@ func runCells(parallelism, n int, cell func(i int) error) error {
 				if err := cell(i); err != nil {
 					errs[i] = err
 					failed.Store(true)
+					cellFailedHook()
 				}
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !failed.Load(); i++ {
 		idx <- i
 	}
 	close(idx)
@@ -64,3 +66,9 @@ func runCells(parallelism, n int, cell func(i int) error) error {
 	}
 	return nil
 }
+
+// cellFailedHook runs on a parallel worker right after it has recorded
+// a cell failure, before it pulls another index. Tests replace it to
+// release gated sibling cells only once the failure is visible, which
+// makes the stop-on-error guarantee deterministic to check.
+var cellFailedHook = func() {}

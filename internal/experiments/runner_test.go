@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -32,10 +33,22 @@ func TestRunCellsExecutesAllInAnyOrder(t *testing.T) {
 
 func TestRunCellsStopsSchedulingOnError(t *testing.T) {
 	boom := errors.New("boom")
+	// Cell 1 fails only once cell 0 is running, and cell 0 holds its
+	// worker until that failure has been recorded, so no worker can
+	// slip a new cell in before the failure is visible: exactly the two
+	// in-flight cells run, and none of the 98 queued behind them.
+	started, release := make(chan struct{}), make(chan struct{})
+	defer func(h func()) { cellFailedHook = h }(cellFailedHook)
+	cellFailedHook = func() { close(release) }
 	var ran atomic.Int64
 	err := runCells(2, 100, func(i int) error {
 		ran.Add(1)
-		if i == 3 {
+		switch i {
+		case 0:
+			close(started)
+			<-release
+		case 1:
+			<-started
 			return boom
 		}
 		return nil
@@ -43,9 +56,9 @@ func TestRunCellsStopsSchedulingOnError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	// In-flight cells drain but the queue stops: far fewer than all 100.
-	if n := ran.Load(); n >= 100 {
-		t.Fatalf("all %d cells ran despite an early error", n)
+	// In-flight cells drain but the queue stops.
+	if n := ran.Load(); n != 2 {
+		t.Fatalf("%d cells ran, want the 2 in flight when cell 1 failed", n)
 	}
 
 	// Sequential keeps fail-fast semantics.
@@ -63,7 +76,22 @@ func TestRunCellsStopsSchedulingOnError(t *testing.T) {
 }
 
 func TestRunCellsReturnsLowestIndexError(t *testing.T) {
+	// The four first-wave cells wait for each other, so all of them run
+	// before any failure is recorded; cell 0 fails last. The lowest
+	// index wins whatever the order the failures were recorded in, and
+	// no worker starts a queued cell after its own failure (a fifth
+	// cell would drive the started counter negative and panic).
+	var started, others sync.WaitGroup
+	started.Add(4)
+	others.Add(3)
 	err := runCells(4, 8, func(i int) error {
+		started.Done()
+		started.Wait()
+		if i == 0 {
+			others.Wait()
+		} else {
+			defer others.Done()
+		}
 		return fmt.Errorf("cell %d failed", i)
 	})
 	if err == nil || err.Error() != "cell 0 failed" {

@@ -193,17 +193,15 @@ func (tt *TaskTracker) changeReduceSlots(delta int) {
 }
 
 // MapSlotIntegral returns the node's accumulated occupied-map-slot
-// seconds up to now.
+// seconds up to now. Like every integral read it is pure.
 func (tt *TaskTracker) MapSlotIntegral() float64 {
-	tt.accrueSlots()
-	return tt.mapSlotIntegral
+	return tt.mapSlotIntegral + float64(tt.mapUsed)*(tt.jt.eng.Now()-tt.lastSlotChange)
 }
 
 // ReduceSlotIntegral returns the node's accumulated occupied-reduce-slot
 // seconds up to now.
 func (tt *TaskTracker) ReduceSlotIntegral() float64 {
-	tt.accrueSlots()
-	return tt.reduceSlotIntegral
+	return tt.reduceSlotIntegral + float64(tt.reduceUsed)*(tt.jt.eng.Now()-tt.lastSlotChange)
 }
 
 // JobTracker is the server-side daemon managing job lifecycles: it
@@ -559,9 +557,9 @@ func (jt *JobTracker) ClusterStatus() ClusterStatus {
 
 // MapSlotOccupancyIntegral returns accumulated occupied-map-slot-seconds
 // up to now; (Δintegral / (totalSlots·Δt)) is the §V-F "slot occupancy".
+// The read is pure: it extrapolates from the last slot change.
 func (jt *JobTracker) MapSlotOccupancyIntegral() float64 {
-	jt.accrueSlots()
-	return jt.mapSlotIntegral
+	return jt.mapSlotIntegral + float64(jt.occupiedMapSlots)*(jt.eng.Now()-jt.lastSlotChange)
 }
 
 // LocalityStats returns cluster-lifetime local and non-local completed

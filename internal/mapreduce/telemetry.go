@@ -16,8 +16,10 @@ type UtilizationPoint struct {
 // UtilizationCursor turns the cluster's monotonic service integrals
 // into interval averages: each Advance reports the mean utilization
 // since the previous Advance (or since construction). It is the single
-// implementation behind both the tracer's telemetry poll and
-// metrics.Sampler's standalone mode, so the two can never drift.
+// implementation behind both the tracer's telemetry poll and the
+// experiments' measured-window averages, so the two can never drift.
+// The integral reads are pure, so a cursor never perturbs the run it
+// observes.
 type UtilizationCursor struct {
 	jt                                 *JobTracker
 	lastT, lastCPU, lastDisk, lastSlot float64
@@ -57,8 +59,8 @@ func (c *UtilizationCursor) Advance() (p UtilizationPoint, ok bool) {
 }
 
 // startTelemetry launches the tracer's periodic utilization poll; it
-// runs alongside the heartbeats for the life of the engine and is the
-// event stream metrics.Sampler consumes when tracing is enabled.
+// runs alongside the heartbeats for the life of the engine and feeds
+// the tracer's timeline (Tracer.WriteTimelineCSV).
 func (jt *JobTracker) startTelemetry() {
 	if !jt.tracer.Enabled() {
 		return

@@ -129,7 +129,6 @@ type Snapshot struct {
 type Sampler struct {
 	jt       *mapreduce.JobTracker
 	interval float64
-	gen      int // invalidates scheduled ticks from older Start calls
 
 	// Integral baselines from the previous tick.
 	lastT       float64
@@ -158,27 +157,18 @@ func NewSampler(jt *mapreduce.JobTracker, cfg Config) *Sampler {
 // Interval returns the sampling period in virtual seconds.
 func (s *Sampler) Interval() float64 { return s.interval }
 
-// Start (re)initialises baselines at the current virtual time and
-// schedules the periodic tick. Calling Start again supersedes earlier
-// schedules (generation guard), so Stop+Start never leaves a dangling
-// tick loop.
+// Start captures baselines at the current virtual time and schedules
+// the periodic tick, which runs for the life of the engine. Call it
+// once.
 func (s *Sampler) Start() {
-	s.gen++
-	gen := s.gen
 	s.rebase()
 	var tick func()
 	tick = func() {
-		if s.gen != gen {
-			return
-		}
 		s.sample()
 		s.jt.Engine().After(s.interval, tick)
 	}
 	s.jt.Engine().After(s.interval, tick)
 }
-
-// Stop invalidates scheduled ticks. Recorded snapshots remain readable.
-func (s *Sampler) Stop() { s.gen++ }
 
 // rebase captures integral baselines at now.
 func (s *Sampler) rebase() {

@@ -78,9 +78,18 @@ func (r *SharedResource) rate(n int) float64 {
 // UsedIntegral returns the accumulated service (units of work delivered)
 // up to the current virtual time. The difference of two readings divided
 // by capacity*(t2-t1) is the mean utilisation over the window.
+//
+// The read is pure: it extrapolates from the last state change instead
+// of applying the accrued service to the active demands, so observers
+// that poll it can never split a demand's float subtraction and shift
+// later completion times.
 func (r *SharedResource) UsedIntegral() float64 {
-	r.advance()
-	return r.usedIntegral
+	dt := r.eng.Now() - r.lastUpdate
+	n := len(r.active)
+	if dt <= 0 || n == 0 {
+		return r.usedIntegral
+	}
+	return r.usedIntegral + r.rate(n)*float64(n)*dt
 }
 
 // Utilization returns the instantaneous utilisation in [0, 1].

@@ -185,6 +185,73 @@ func TestWorkConservationProperty(t *testing.T) {
 	}
 }
 
+// TestUsedIntegralReadsDoNotPerturbCompletions: reading the service
+// integral is a pure observation. Random processor-sharing demands
+// complete at bit-identical times whether or not UsedIntegral is read
+// at arbitrary instants in between, and the final integral agrees.
+func TestUsedIntegralReadsDoNotPerturbCompletions(t *testing.T) {
+	type demand struct{ at, work float64 }
+	run := func(ds []demand, capacity, perUser float64, reads []float64) ([]float64, float64) {
+		e := NewEngine()
+		r := NewSharedResource(e, "disk", capacity, perUser)
+		done := make([]float64, len(ds))
+		for i, d := range ds {
+			i, d := i, d
+			e.At(d.at, func() { r.Submit(d.work, func() { done[i] = e.Now() }) })
+		}
+		for _, at := range reads {
+			e.At(at, func() { r.UsedIntegral() })
+		}
+		e.Run()
+		return done, r.UsedIntegral()
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		capacity := 1 + rng.Float64()*100
+		perUser := rng.Float64() * capacity
+		ds := make([]demand, 2+rng.Intn(40))
+		for i := range ds {
+			ds[i] = demand{at: rng.Float64() * 20, work: rng.Float64() * 50}
+		}
+		reads := make([]float64, 1+rng.Intn(200))
+		for i := range reads {
+			reads[i] = rng.Float64() * 40
+		}
+		plain, plainUsed := run(ds, capacity, perUser, nil)
+		observed, observedUsed := run(ds, capacity, perUser, reads)
+		for i := range plain {
+			if plain[i] != observed[i] {
+				t.Fatalf("trial %d: demand %d completed at %v with reads, %v without (Δ=%g)",
+					trial, i, observed[i], plain[i], observed[i]-plain[i])
+			}
+		}
+		if plainUsed != observedUsed {
+			t.Fatalf("trial %d: final integral %v with reads, %v without", trial, observedUsed, plainUsed)
+		}
+	}
+}
+
+// TestUsedIntegralMidServiceExtrapolates: a read between state changes
+// reports the service delivered so far without consuming it.
+func TestUsedIntegralMidServiceExtrapolates(t *testing.T) {
+	e := NewEngine()
+	r := NewSharedResource(e, "cpu", 10, 0)
+	r.Submit(10, nil)
+	r.Submit(30, nil)
+	e.RunUntil(1) // two demands at 5/s each
+	if got := r.UsedIntegral(); !almostEqual(got, 10, 1e-12) {
+		t.Fatalf("UsedIntegral at t=1 = %v, want 10", got)
+	}
+	e.RunUntil(1.5) // the 10-unit demand finishes at t=2
+	if got := r.UsedIntegral(); !almostEqual(got, 15, 1e-12) {
+		t.Fatalf("UsedIntegral at t=1.5 = %v, want 15", got)
+	}
+	e.Run() // 40 units in total
+	if got := r.UsedIntegral(); !almostEqual(got, 40, 1e-9) {
+		t.Fatalf("UsedIntegral after drain = %v, want 40", got)
+	}
+}
+
 func TestFIFOQueueServesInOrder(t *testing.T) {
 	e := NewEngine()
 	q := NewFIFOQueue(e, "disk", 10)

@@ -5,25 +5,20 @@ import (
 	"io"
 )
 
-// WriteMetricCSV writes a utilization timeline as CSV with the
-// paper's §V-D columns, one row per poll interval.
-func WriteMetricCSV(w io.Writer, samples []MetricSample) error {
+// WriteTimelineCSV writes the tracer's utilization timeline as CSV with
+// the paper's §V-D columns, one row per poll interval. A nil tracer
+// writes just the header.
+func (t *Tracer) WriteTimelineCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, "time_s,cpu_util_pct,disk_read_kbs,slot_occupancy_pct\n"); err != nil {
 		return err
 	}
-	for _, m := range samples {
+	for _, m := range t.MetricSamples() {
 		if _, err := fmt.Fprintf(w, "%g,%g,%g,%g\n",
 			m.Time, m.CPUUtilPct, m.DiskReadKBs, m.SlotOccupancyPct); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// WriteTimelineCSV writes the tracer's own utilization timeline. A
-// nil tracer writes just the header.
-func (t *Tracer) WriteTimelineCSV(w io.Writer) error {
-	return WriteMetricCSV(w, t.MetricSamples())
 }
 
 // WritePolicyCSV writes the policy decision audit log as CSV, one row

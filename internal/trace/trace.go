@@ -7,9 +7,9 @@
 //
 // The package is deliberately leaf-level: it knows nothing about the
 // runtime that feeds it, so internal/sim, internal/mapreduce,
-// internal/core, internal/metrics and internal/experiments can all
-// depend on it without cycles. All timestamps are virtual seconds as
-// reported by the discrete-event engine.
+// internal/core and internal/experiments can all depend on it without
+// cycles. All timestamps are virtual seconds as reported by the
+// discrete-event engine.
 //
 // Every method is safe on a nil *Tracer and does nothing, so
 // instrumentation sites call unconditionally; a disabled run costs one
@@ -166,9 +166,8 @@ type Tracer struct {
 	n       int    // occupied entries (<= cap)
 	dropped int64
 
-	decisions  []PolicyDecision
-	samples    []MetricSample
-	sampleSubs []func(MetricSample)
+	decisions []PolicyDecision
+	samples   []MetricSample
 
 	reg registry
 }
@@ -306,19 +305,14 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// RecordMetricSample appends a utilization reading to the timeline and
-// fans it out to subscribers (e.g. metrics.Sampler).
+// RecordMetricSample appends a utilization reading to the timeline.
 func (t *Tracer) RecordMetricSample(m MetricSample) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.samples = append(t.samples, m)
-	subs := t.sampleSubs
-	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(m)
-	}
 }
 
 // MetricSamples returns the utilization timeline collected so far.
@@ -329,15 +323,4 @@ func (t *Tracer) MetricSamples() []MetricSample {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]MetricSample(nil), t.samples...)
-}
-
-// OnMetricSample subscribes to future utilization readings. Callbacks
-// run synchronously on the engine goroutine that polled the sample.
-func (t *Tracer) OnMetricSample(fn func(MetricSample)) {
-	if t == nil || fn == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sampleSubs = append(t.sampleSubs, fn)
 }

@@ -18,7 +18,6 @@ func TestNilTracerIsSafeAndDisabled(t *testing.T) {
 	tr.Observe(HistMapDuration, 1)
 	tr.RecordPolicyDecision(PolicyDecision{})
 	tr.RecordMetricSample(MetricSample{Time: 1})
-	tr.OnMetricSample(func(MetricSample) {})
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil tracer has spans: %v", got)
 	}
@@ -202,17 +201,18 @@ func TestPolicyLogCountsEvaluations(t *testing.T) {
 	}
 }
 
-func TestMetricSampleFanOut(t *testing.T) {
+func TestMetricSampleTimeline(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	var got []MetricSample
-	tr.OnMetricSample(func(m MetricSample) { got = append(got, m) })
 	tr.RecordMetricSample(MetricSample{Time: 30, CPUUtilPct: 50})
 	tr.RecordMetricSample(MetricSample{Time: 60, CPUUtilPct: 25})
-	if len(got) != 2 || got[1].Time != 60 {
-		t.Fatalf("subscriber saw %+v", got)
+	got := tr.MetricSamples()
+	if len(got) != 2 || got[0].CPUUtilPct != 50 || got[1].Time != 60 {
+		t.Fatalf("timeline = %+v", got)
 	}
-	if len(tr.MetricSamples()) != 2 {
-		t.Fatalf("timeline = %+v", tr.MetricSamples())
+	// The returned slice is a copy: appending to it cannot leak back.
+	got[0].Time = -1
+	if tr.MetricSamples()[0].Time != 30 {
+		t.Fatal("MetricSamples aliases the tracer's timeline")
 	}
 }
 

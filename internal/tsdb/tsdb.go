@@ -75,9 +75,6 @@ type DB struct {
 	qs  *qstats.Registry
 	cfg Config
 
-	gen     int
-	running bool
-
 	series map[string]*Series
 	order  []string
 
@@ -141,34 +138,18 @@ func (db *DB) IntervalS() float64 {
 }
 
 // Start schedules the self-renewing collection tick on the virtual
-// clock. Like the obs sampler, a generation counter lets Stop/Start
-// cancel a pending tick without reaching into the engine's queue.
+// clock; it runs for the life of the engine. Call it once.
 func (db *DB) Start() {
-	if db == nil || db.running {
+	if db == nil {
 		return
 	}
-	db.running = true
-	db.gen++
-	gen := db.gen
 	eng := db.jt.Engine()
 	var tick func()
 	tick = func() {
-		if db.gen != gen {
-			return
-		}
 		db.tick()
 		eng.After(db.cfg.IntervalS, tick)
 	}
 	eng.After(db.cfg.IntervalS, tick)
-}
-
-// Stop cancels the pending tick.
-func (db *DB) Stop() {
-	if db == nil {
-		return
-	}
-	db.gen++
-	db.running = false
 }
 
 // tick is one collection + evaluation pass on the engine goroutine.
@@ -188,7 +169,7 @@ func (db *DB) tick() {
 // (same locking discipline). No-op if the clock has not moved since
 // the last pass.
 func (db *DB) Flush() {
-	if db == nil || !db.running {
+	if db == nil {
 		return
 	}
 	now := db.jt.Engine().Now()
